@@ -226,7 +226,7 @@ class Coordinator:
         Workers are told to ping every third of this.
     cache_dir:
         Advertised to workers in ``WELCOME`` so hosts sharing the
-        coordinator's filesystem reuse its on-disk edge cache without
+        coordinator's filesystem reuse its on-disk caches without
         per-worker configuration.
     max_shard_requeues:
         How many worker deaths one shard may survive before it is

@@ -79,8 +79,9 @@ Message catalogue (worker ``->`` coordinator unless noted):
             CHALLENGE (see :func:`auth_digest`)
 ``WELCOME`` coordinator: ``(WELCOME, settings: dict)`` — settings carry
             ``heartbeat_interval`` (seconds between peer pings) and
-            ``cache_dir`` (the coordinator's edge-cache directory, for
-            workers sharing its filesystem)
+            ``cache_dir`` (the coordinator's disk-cache directory, for
+            workers sharing its filesystem; ``None`` from a service
+            daemon, whose result store answers repeat cells)
 ``REJECT``  coordinator: ``(REJECT, reason: str)``; the connection is
             closed afterwards
 ``GET``     ``(GET,)`` — the work-stealing pull: hand me the next shard
@@ -182,7 +183,6 @@ __all__ = [
     "server_tls_context",
     "client_tls_context",
     "connect_with_retry",
-    "enable_keepalive",
     "send_message",
     "recv_message",
     "read_message",
@@ -256,6 +256,16 @@ METRICS_REPLY = "metrics_reply"
 
 _HEADER = struct.Struct(">I")
 
+#: Most buffers one ``sendmsg`` call accepts (1024 on Linux; 16, the
+#: POSIX minimum, where the limit is unknown); frames with more parts go
+#: out in chunks of this many.
+_IOV_MAX = max(
+    16,
+    os.sysconf("SC_IOV_MAX")
+    if "SC_IOV_MAX" in getattr(os, "sysconf_names", {})
+    else 0,
+)
+
 #: First byte of a segmented (out-of-band buffer) payload.  The npy
 #: magic byte — distinct from ``0x80``, the first byte of every plain
 #: pickle at protocol >= 2, which is what payload sniffing relies on.
@@ -273,8 +283,9 @@ def encode_frames(message: tuple) -> list:
     the payload.  Messages without array buffers produce a plain-pickle
     payload; messages carrying NumPy arrays produce the segmented v4
     layout, whose raw buffer segments are *views* of the arrays being
-    sent — nothing is copied into the pickle stream.  Send each element
-    in order (``sendall`` per part, or ``writer.writelines``).
+    sent — nothing is copied into the pickle stream.  Send the elements
+    in order as one write (:func:`send_message`, or
+    ``writer.writelines``).
     """
     buffers: list[pickle.PickleBuffer] = []
     try:
@@ -484,6 +495,11 @@ def connect_with_retry(
     being returned; a failed handshake is retried like a refused
     connection (a daemon restarting with new certificates looks
     exactly like one still binding).
+
+    The socket has ``TCP_NODELAY`` set: the traffic is small
+    request/reply frames, and with Nagle's algorithm on each reply
+    waits out the peer's delayed ACK (about 40 ms per round-trip).  It
+    also has TCP keepalive on (see :func:`_enable_keepalive`).
     """
     deadline = time.monotonic() + timeout
     delay = 0.1
@@ -493,6 +509,8 @@ def connect_with_retry(
             sock = socket.create_connection(
                 (host, port), timeout=max(timeout, 1.0)
             )
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            _enable_keepalive(sock)
             if ssl_context is not None:
                 sock = ssl_context.wrap_socket(sock, server_hostname=host)
             return sock
@@ -507,7 +525,7 @@ def connect_with_retry(
             delay = min(delay * 2, max_delay)
 
 
-def enable_keepalive(sock: socket.socket) -> None:
+def _enable_keepalive(sock: socket.socket) -> None:
     """Detect a silently-dead peer (power loss, network partition).
 
     The coordinator never pings its peers, so without keepalive a
@@ -530,9 +548,27 @@ def enable_keepalive(sock: socket.socket) -> None:
 
 
 def send_message(sock: socket.socket, message: tuple) -> None:
-    """Write one frame to a blocking socket (zero-copy array segments)."""
-    for part in encode_frames(message):
-        sock.sendall(part)
+    """Write one frame to a blocking socket (zero-copy array segments).
+
+    The frame's parts go out in one ``sendmsg`` scatter-gather call per
+    :data:`_IOV_MAX` parts, looping on partial writes, so a small frame
+    leaves as one TCP segment.  TLS sockets have no ``sendmsg`` and
+    send part by part.
+    """
+    parts = encode_frames(message)
+    if isinstance(sock, ssl.SSLSocket) or not hasattr(sock, "sendmsg"):
+        for part in parts:
+            sock.sendall(part)
+        return
+    views = [memoryview(part) for part in parts]
+    first = 0
+    while first < len(views):
+        sent = sock.sendmsg(views[first : first + _IOV_MAX])
+        while first < len(views) and sent >= views[first].nbytes:
+            sent -= views[first].nbytes
+            first += 1
+        if sent:
+            views[first] = views[first][sent:]
 
 
 def _recv_exactly(sock: socket.socket, count: int) -> bytes | None:

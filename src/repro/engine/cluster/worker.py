@@ -30,9 +30,13 @@ If the coordinator serves TLS, pass ``--tls-ca`` with its trust root
 ``$REPRO_TLS_CA``); ``--tls-cert``/``--tls-key`` additionally load a
 worker certificate for mutual-TLS coordinators.
 
-Edge-cache resolution order: ``--cache-dir``, then ``REPRO_CACHE_DIR``,
+Disk-cache resolution order: ``--cache-dir``, then ``REPRO_CACHE_DIR``,
 then the directory the coordinator advertises in ``WELCOME`` (useful
-when worker hosts share the coordinator's filesystem).
+when worker hosts share the coordinator's filesystem).  A bare cluster
+coordinator advertises its ``disk_cache_dir``; a service daemon
+advertises none, since its result store already answers repeat cells,
+so service workers keep no per-cell disk files unless given a directory
+here.
 
 Exit codes: ``0`` after a coordinator ``SHUTDOWN`` (sweep over), ``1``
 on a lost/unreachable coordinator (after the reconnect budget), ``2``
@@ -63,7 +67,6 @@ from .protocol import (
     auth_digest,
     client_tls_context,
     connect_with_retry,
-    enable_keepalive,
     hello,
     parse_address,
     recv_message,
@@ -151,7 +154,6 @@ def _serve_connection(
     from ..backends import resolve_backend
 
     sock.settimeout(None)
-    enable_keepalive(sock)
     outcome, settings = _handshake(sock, secret, log)
     if outcome != "ok":
         sock.close()
@@ -352,8 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cache-dir",
         default=None,
-        help="persistent edge-cache directory (default: $REPRO_CACHE_DIR, "
-        "then the coordinator's advertised directory)",
+        help="persistent edge/perm/cost cache directory (default: "
+        "$REPRO_CACHE_DIR, then the directory a cluster coordinator "
+        "advertises; a service daemon advertises none)",
     )
     parser.add_argument(
         "--connect-timeout",

@@ -326,9 +326,10 @@ def request_payload(request) -> str | None:
 class DiskCacheStats:
     """Point-in-time counters of one on-disk cache.
 
-    ``hits``/``misses``/``stores`` are this process's handle counters;
-    ``entries``/``total_bytes`` are a directory scan at call time, so
-    they reflect every process sharing the cache.
+    ``hits``/``misses``/``stores``/``corrupt`` are this process's
+    handle counters (``corrupt`` counts the misses whose entry existed
+    but could not be read); ``entries``/``total_bytes`` are a directory
+    scan at call time, so they reflect every process sharing the cache.
     """
 
     hits: int
@@ -336,6 +337,7 @@ class DiskCacheStats:
     stores: int
     entries: int = 0
     total_bytes: int = 0
+    corrupt: int = 0
 
 
 class _DiskCacheBase:
@@ -356,6 +358,7 @@ class _DiskCacheBase:
         self._hits = 0
         self._misses = 0
         self._stores = 0
+        self._corrupt = 0
 
     @property
     def cache_dir(self) -> Path:
@@ -367,15 +370,22 @@ class _DiskCacheBase:
         """File-name prefix distinguishing this store in a shared dir."""
         return self._kind
 
+    @property
+    def corrupt(self) -> int:
+        """Entries this handle found present but unreadable (each also
+        counted as a miss); cheap, unlike :meth:`stats`."""
+        return self._corrupt
+
     def _path(self, key: str) -> Path:
         return self._dir / f"{self._kind}-{key}{self._suffix}"
 
     def _count(self, *, hit: bool = False, miss: bool = False,
-               store: bool = False) -> None:
+               store: bool = False, corrupt: bool = False) -> None:
         with self._counter_lock:
             self._hits += hit
             self._misses += miss
             self._stores += store
+            self._corrupt += corrupt
 
     def _publish(self, path: Path, write) -> bool:
         """Atomically write one entry via ``write(fh)``.
@@ -420,12 +430,14 @@ class _DiskCacheBase:
             entries += 1
         with self._counter_lock:
             hits, misses, stores = self._hits, self._misses, self._stores
+            corrupt = self._corrupt
         return DiskCacheStats(
             hits=hits,
             misses=misses,
             stores=stores,
             entries=entries,
             total_bytes=total_bytes,
+            corrupt=corrupt,
         )
 
     def clear(self) -> int:
@@ -487,14 +499,18 @@ class DiskEdgeCache(_DiskCacheBase):
         """Read the cached edge array, or ``None`` when absent/corrupt.
 
         A truncated or unreadable file (e.g. from a pre-atomic-write
-        crash of an older layout) counts as a miss rather than an error.
+        crash of an older layout) counts as a ``corrupt`` miss rather
+        than an error.
         """
         path = self._path_for(grid, stencil)
         try:
             arr = np.load(path)
+        except FileNotFoundError:
+            self._count(miss=True)
+            return None
         except (OSError, ValueError, EOFError):
             # EOFError: np.load on a zero-byte/truncated-header file
-            self._count(miss=True)
+            self._count(miss=True, corrupt=True)
             return None
         self._count(hit=True)
         _touch(path)
@@ -540,16 +556,20 @@ class DiskStore(_DiskCacheBase):
 
         Absent, truncated, corrupt or otherwise unreadable entries all
         count as misses rather than errors — a crashed writer or a
-        stray file must never fail a sweep.
+        stray file must never fail a sweep.  Entries present but
+        unreadable are also counted as ``corrupt``.
         """
         path = self._path(key)
         try:
             with open(path, "rb") as fh:
                 value = pickle.load(fh)
+        except FileNotFoundError:
+            self._count(miss=True)
+            return MISSING
         except Exception:
             # pickle raises anything from EOFError to arbitrary
             # constructor errors on corrupt bytes; all mean "no entry".
-            self._count(miss=True)
+            self._count(miss=True, corrupt=True)
             return MISSING
         self._count(hit=True)
         _touch(path)

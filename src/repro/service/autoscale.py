@@ -303,6 +303,7 @@ class Autoscaler:
         self._backoff_until = 0.0
         self._prev_early_deaths = 0
         self._prev_completed = 0
+        self._tick_errors = 0
         self._task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
@@ -331,8 +332,16 @@ class Autoscaler:
                 await self._tick()
             except asyncio.CancelledError:
                 raise
-            except Exception:  # pragma: no cover - a bad tick must not
-                pass  # kill the daemon; the next tick re-reads state
+            except Exception as exc:
+                # A bad tick must not kill the daemon; the next tick
+                # re-reads state.  Counted (STATUS/METRICS ``pool``
+                # section) and reported, never silent.
+                self._tick_errors += 1
+                print(
+                    f"autoscaler: tick failed: {exc!r}",
+                    file=sys.stderr,
+                    flush=True,
+                )
             await asyncio.sleep(self.interval)
 
     # ------------------------------------------------------------------
@@ -437,6 +446,7 @@ class Autoscaler:
             "spawn_failures": self._spawn_failures,
             "spawn_backoff_remaining": max(0.0, self._backoff_until - now),
             "queue_age_threshold": self.queue_age_threshold,
+            "tick_errors": self._tick_errors,
         }
 
     def __repr__(self) -> str:

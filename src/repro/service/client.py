@@ -44,7 +44,6 @@ from ..engine.cluster.protocol import (
     auth_digest,
     client_tls_context,
     connect_with_retry,
-    enable_keepalive,
     hello,
     recv_message,
     resolve_secret,
@@ -225,9 +224,6 @@ class ServiceClient:
                 f"cannot reach service daemon {self.host}:{self.port} "
                 f"within {self._connect_timeout:g}s"
             )
-        # A daemon host that dies without a FIN must not hang the
-        # driver forever in a result read.
-        enable_keepalive(sock)
         try:
             send_message(
                 sock,

@@ -329,14 +329,18 @@ class _Assembly:
 
 
 class _JobCoordinator(Coordinator):
-    """A coordinator whose client connections are job sessions."""
+    """A coordinator whose client connections are job sessions.
 
-    def __init__(self, *args, **kwargs):
+    *store_dir* backs the result store.  It is not advertised to
+    workers as their ``cache_dir``: the store already answers every
+    repeat cell, so per-cell worker files would only duplicate it.
+    """
+
+    def __init__(self, *args, store_dir: str | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         self._clients: set[_ClientConn] = set()
         self._result_store = (
-            None if self._cache_dir is None
-            else DiskStore(self._cache_dir, "result")
+            None if store_dir is None else DiskStore(store_dir, "result")
         )
         self._cells: dict[str, _InflightCell] = {}
         self._assemblies: dict[str, _Assembly] = {}
@@ -493,6 +497,7 @@ class _JobCoordinator(Coordinator):
                 None if not looked_up
                 else (self._store_hits + self._store_joins) / looked_up
             ),
+            "corrupt": 0 if self._result_store is None else self._result_store.corrupt,
             "inflight_cells": len(self._cells),
             "prune": self.prune_stats,
         }
@@ -703,11 +708,12 @@ class ServiceDaemon:
         connection is presumed dead; workers' in-flight shards are
         requeued, clients' unfinished jobs are cancelled.
     disk_cache_dir:
-        Persistent cache directory: advertised to workers (edge/perm/
-        cost/metric tiers) *and* backing the daemon's own
-        content-addressed result store, which answers repeat cells
-        without dispatching work (see the module docstring).  Defaults
-        to ``REPRO_CACHE_DIR``; unset disables both.
+        Directory of the daemon's content-addressed result store,
+        which answers repeat cells without dispatching work (see the
+        module docstring).  It is not advertised to workers: they keep
+        no per-cell disk tiers unless started with ``--cache-dir`` (or
+        ``REPRO_CACHE_DIR``) themselves.  Defaults to
+        ``REPRO_CACHE_DIR``; unset disables the store.
     max_shard_requeues:
         Worker deaths one shard may survive before its job fails.
     secret:
@@ -830,7 +836,7 @@ class ServiceDaemon:
             host,
             port,
             heartbeat_timeout=heartbeat_timeout,
-            cache_dir=self.disk_cache_dir,
+            store_dir=self.disk_cache_dir,
             max_shard_requeues=max_shard_requeues,
             secret=secret,
             history_limit=history_limit,

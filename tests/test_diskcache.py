@@ -52,6 +52,7 @@ class TestDiskStore:
         assert value[1] is None
         stats = store.stats()
         assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
+        assert stats.corrupt == 0  # an absent entry is a plain miss
         assert stats.entries == 1 and stats.total_bytes > 0
 
     def test_stored_none_is_not_missing(self, tmp_path):
@@ -67,6 +68,7 @@ class TestDiskStore:
         path.write_bytes(garbage)
         assert store.load(KEY) is MISSING
         assert store.stats().misses == 1
+        assert store.stats().corrupt == store.corrupt == 1
 
     def test_truncated_pickle_is_a_miss(self, tmp_path):
         store = DiskStore(tmp_path, "result")
@@ -74,6 +76,7 @@ class TestDiskStore:
         (path,) = tmp_path.glob("result-*.pkl")
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         assert store.load(KEY) is MISSING
+        assert (store.stats().misses, store.corrupt) == (1, 1)
 
     def test_corrupt_npy_is_a_miss(self, tmp_path):
         cache = DiskEdgeCache(tmp_path)
@@ -83,6 +86,7 @@ class TestDiskStore:
         path.write_bytes(b"")
         assert cache.load(grid, stencil) is None
         assert cache.stats().misses == 1
+        assert cache.stats().corrupt == 1
 
     def test_clear_removes_exactly_its_own_files(self, tmp_path):
         for kind in STORE_KINDS[1:]:

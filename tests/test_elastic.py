@@ -411,6 +411,23 @@ class TestAutoscalerLoop:
         _tick(scaler, times=3)
         assert coord.drain_calls == []
 
+    def test_failing_tick_is_counted_and_reported(self, capsys):
+        """A tick that raises keeps the loop running and is counted in
+        the ``pool`` section instead of being swallowed silently."""
+        coord, spawner = _FakeCoordinator(), _RecordingSpawner()
+        coord.load_snapshot = lambda: {}  # KeyError on every tick
+        scaler = Autoscaler(coord, spawner, max_workers=2, interval=0.01)
+
+        async def run() -> None:
+            await scaler.start()
+            while scaler.stats()["tick_errors"] < 2:
+                await asyncio.sleep(0.01)
+            await scaler.aclose()
+
+        asyncio.run(asyncio.wait_for(run(), timeout=30))
+        assert scaler.stats()["tick_errors"] >= 2
+        assert "autoscaler: tick failed: KeyError" in capsys.readouterr().err
+
     def test_bounds_validation(self):
         coord, spawner = _FakeCoordinator(), _RecordingSpawner()
         with pytest.raises(ValueError, match="min_workers"):

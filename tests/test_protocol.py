@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import pickle
 import socket
+import threading
 
 import numpy as np
+import pytest
 
 from repro import CartesianGrid, NodeAllocation, nearest_neighbor
 from repro.engine import ClusterBackend, EvaluationEngine, MappingRequest
+from repro.engine.cluster import protocol
 from repro.engine.cluster.protocol import (
     HELLO,
     MAGIC,
@@ -110,18 +113,97 @@ class TestSegmentedEncoding:
         assert message[3]["pickle"] == WIRE_PICKLE_PROTOCOL
         assert message[2] == PROTOCOL_VERSION == 6
 
-    def test_socket_roundtrip(self):
-        """send_message/recv_message carry a segmented frame intact."""
+    @staticmethod
+    def _socket_roundtrip(arrays: list) -> None:
         left, right = socket.socketpair()
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(recv_message(right)), daemon=True
+        )
+        reader.start()
         try:
-            arr = np.arange(10000, dtype=np.int64).reshape(-1, 2)
-            send_message(left, (SHARD, 5, [arr]))
-            message = recv_message(right)
+            send_message(left, (SHARD, 5, arrays))
+            reader.join(timeout=60)
         finally:
             left.close()
             right.close()
+        assert not reader.is_alive()
+        (message,) = received
         assert message[0] == SHARD and message[1] == 5
-        assert message[2][0].tobytes() == arr.tobytes()
+        assert [a.tobytes() for a in message[2]] == [a.tobytes() for a in arrays]
+
+    def test_socket_roundtrip(self):
+        """send_message/recv_message carry a segmented frame intact."""
+        self._socket_roundtrip([np.arange(10000, dtype=np.int64).reshape(-1, 2)])
+
+    def test_socket_roundtrip_over_iov_max(self):
+        """More segments than one ``sendmsg`` takes and more bytes than
+        the socket buffer holds: chunked, partial writes stay intact."""
+        self._socket_roundtrip(
+            [np.full(512, i, dtype=np.int64) for i in range(protocol._IOV_MAX)]
+        )
+
+
+class _RecordingSocket:
+    """A fake blocking socket recording every write call.
+
+    ``sendmsg`` accepts at most *chunk* bytes per call, so a frame
+    exercises the partial-write loop.
+    """
+
+    def __init__(self, chunk: int | None = None):
+        self.chunk = chunk
+        self.calls: list[tuple[str, int]] = []
+        self.data = bytearray()
+
+    def sendmsg(self, buffers):
+        buffers = list(buffers)
+        assert len(buffers) <= protocol._IOV_MAX
+        self.calls.append(("sendmsg", len(buffers)))
+        payload = b"".join(bytes(buffer) for buffer in buffers)
+        if self.chunk is not None:
+            payload = payload[: self.chunk]
+        self.data += payload
+        return len(payload)
+
+    def sendall(self, data):
+        self.calls.append(("sendall", 1))
+        self.data += bytes(data)
+
+
+class TestSendMessage:
+    MESSAGES = [
+        ("ping",),
+        (SHARD, 3, [np.arange(5000, dtype=np.int64), np.array([], np.int32)]),
+    ]
+
+    @pytest.mark.parametrize("message", MESSAGES, ids=["plain", "segmented"])
+    def test_one_sendmsg_per_frame(self, message):
+        sock = _RecordingSocket()
+        send_message(sock, message)
+        assert [kind for kind, _ in sock.calls] == ["sendmsg"]
+        assert bytes(sock.data) == encode_message(message)
+
+    @pytest.mark.parametrize("message", MESSAGES, ids=["plain", "segmented"])
+    def test_partial_writes_resume_mid_buffer(self, message):
+        sock = _RecordingSocket(chunk=7)
+        send_message(sock, message)
+        assert bytes(sock.data) == encode_message(message)
+        assert {kind for kind, _ in sock.calls} == {"sendmsg"}
+        assert len(sock.calls) == -(-len(sock.data) // 7)
+
+    def test_more_buffers_than_iov_max_are_chunked(self):
+        arrays = [np.full(3, i, dtype=np.int64) for i in range(protocol._IOV_MAX)]
+        message = (SHARD, 1, arrays)
+        parts = len(encode_frames(message))
+        assert parts > protocol._IOV_MAX
+        sock = _RecordingSocket()
+        send_message(sock, message)
+        assert bytes(sock.data) == encode_message(message)
+        assert [n for _, n in sock.calls] == [
+            min(protocol._IOV_MAX, parts - first)
+            for first in range(0, parts, protocol._IOV_MAX)
+        ]
 
 
 class TestHandshakePinning:
