@@ -617,9 +617,13 @@ async def read_message(reader: asyncio.StreamReader) -> tuple | None:
     return decode_payload(payload)
 
 
-async def write_message(writer: asyncio.StreamWriter, message: tuple) -> None:
-    """Write one frame to a stream and drain (zero-copy array segments)."""
-    writer.writelines(encode_frames(message))
+async def write_message(writer: asyncio.StreamWriter, *messages: tuple) -> None:
+    """Write frames to a stream in order as one write, and drain.
+
+    Frames ready at the same moment thus reach the peer together, in
+    one wake-up of its reader.
+    """
+    writer.writelines([part for message in messages for part in encode_frames(message)])
     await writer.drain()
 
 

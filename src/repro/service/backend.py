@@ -194,8 +194,9 @@ class ServiceBackend:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Mark the backend closed (connections are per-job, not pooled)."""
+        """Mark the backend closed and drop its idle daemon connection."""
         self._closed = True
+        self._client.close()
 
     def __enter__(self) -> "ServiceBackend":
         return self

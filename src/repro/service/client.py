@@ -2,9 +2,13 @@
 
 A :class:`ServiceClient` talks to a :class:`~repro.service.daemon.
 ServiceDaemon` over the cluster wire protocol's client message set.
-Connections are per-operation: :meth:`ServiceClient.submit` opens one
-and keeps it for the life of the job (results stream back on it, a
-heartbeat thread keeps it audible, closing it early cancels the job);
+Each job has a connection of its own for its life:
+:meth:`ServiceClient.submit` takes one, results stream back on it, a
+heartbeat thread of the client keeps it audible, and closing it early
+cancels the job.  A job drained to its ``JOB_DONE`` hands its
+connection back, and the client's next submission reuses it (one idle
+connection per client, dropped once idle for a heartbeat interval), so
+back-to-back small jobs pay neither a TCP connect nor a handshake.
 :meth:`status` and :meth:`cancel` open a short-lived one each, so a
 monitoring client never interleaves with a result stream.
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
+import time
 
 from ..engine.cluster.protocol import (
     AUTH,
@@ -55,18 +60,54 @@ from ..exceptions import ServiceError
 __all__ = ["ServiceClient", "JobHandle"]
 
 
-def _heartbeat_loop(
-    sock: socket.socket,
-    write_lock: threading.Lock,
-    interval: float,
-    stop: threading.Event,
-) -> None:
-    while not stop.wait(interval):
-        try:
-            with write_lock:
-                send_message(sock, (PING,))
-        except OSError:
-            return
+class _Heartbeats:
+    """One thread pinging every live job connection of one client.
+
+    A job registers for its life; the thread pings each registered job
+    once per tick (the shortest registered interval) and exits at a
+    tick that finds none, so back-to-back jobs share one thread instead
+    of starting one each.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._handles: dict["JobHandle", None] = {}
+        self._wake = threading.Event()
+        self._tick = 0.0
+        self._thread: threading.Thread | None = None
+
+    def add(self, handle: "JobHandle") -> None:
+        with self._lock:
+            # Not alive in a forked child: its handles are the parent's.
+            if self._thread is None or not self._thread.is_alive():
+                self._handles = {handle: None}
+                self._tick = handle._interval
+                self._thread = threading.Thread(
+                    target=self._run, name="repro-service-heartbeat", daemon=True
+                )
+                self._thread.start()
+                return
+            self._handles[handle] = None
+            if handle._interval < self._tick:
+                self._wake.set()
+
+    def discard(self, handle: "JobHandle") -> None:
+        with self._lock:
+            self._handles.pop(handle, None)
+
+    def _run(self) -> None:
+        while True:
+            self._wake.wait(self._tick)
+            self._wake.clear()
+            with self._lock:
+                if not self._handles:
+                    self._thread = None
+                    return
+                handles = list(self._handles)
+                self._tick = min(handle._interval for handle in handles)
+            for handle in handles:
+                if not handle._ping():
+                    self.discard(handle)
 
 
 class JobHandle:
@@ -74,9 +115,11 @@ class JobHandle:
 
     Iterate :meth:`results` to drain the stream; :meth:`close` (or the
     context manager) releases the connection — early, before the stream
-    is drained, the daemon cancels the job's remaining shards.  A
-    heartbeat thread pings the daemon while the consumer is busy
-    between frames, so slow consumption is not mistaken for death.
+    is drained, the daemon cancels the job's remaining shards; after
+    ``JOB_DONE`` the connection goes back to the client for its next
+    job.  The client's heartbeat thread pings the daemon while the
+    consumer is busy between frames, so slow consumption is not
+    mistaken for death.
     """
 
     def __init__(
@@ -85,20 +128,31 @@ class JobHandle:
         job_id: str,
         shard_ids: list[int],
         heartbeat_interval: float,
+        *,
+        heartbeats: _Heartbeats | None = None,
+        release=None,
     ):
         self.job_id = job_id
         self.shard_ids = list(shard_ids)
         self._sock = sock
+        self._interval = heartbeat_interval
+        self._heartbeats = _Heartbeats() if heartbeats is None else heartbeats
+        self._release = release
         self._write_lock = threading.Lock()
-        self._stop = threading.Event()
         self._closed = False
-        self._heartbeat = threading.Thread(
-            target=_heartbeat_loop,
-            args=(sock, self._write_lock, heartbeat_interval, self._stop),
-            name="repro-service-heartbeat",
-            daemon=True,
-        )
-        self._heartbeat.start()
+        self._done = False
+        self._heartbeats.add(self)
+
+    def _ping(self) -> bool:
+        """Send one PING; ``False`` once the connection is gone."""
+        with self._write_lock:
+            if self._closed:
+                return False
+            try:
+                send_message(self._sock, (PING,))
+            except OSError:
+                return False
+        return True
 
     def results(self):
         """Yield ``(shard_id, payload)`` per completed shard, then stop.
@@ -107,8 +161,7 @@ class JobHandle:
         fails, is cancelled (possibly by another connection), or the
         daemon shuts down mid-job.
         """
-        remaining = set(self.shard_ids)
-        while remaining:
+        while not self._done:
             try:
                 message = recv_message(self._sock)
             except (ProtocolError, OSError) as exc:
@@ -121,7 +174,6 @@ class JobHandle:
                 )
             kind = message[0]
             if kind == JOB_RESULT:
-                remaining.discard(message[2])
                 yield message[2], message[3]
             elif kind == JOB_FAIL:
                 raise ServiceError(
@@ -136,14 +188,18 @@ class JobHandle:
                     f"unfinished"
                 )
             elif kind == JOB_DONE:
-                return
+                self._done = True
 
     def close(self) -> None:
         """Release the connection; an undrained job is cancelled."""
-        if self._closed:
+        with self._write_lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._heartbeats.discard(self)
+        if self._done and self._release is not None:
+            self._release(self._sock)
             return
-        self._closed = True
-        self._stop.set()
         try:
             self._sock.close()
         except OSError:  # pragma: no cover - close is best-effort
@@ -206,6 +262,11 @@ class ServiceClient:
             if (tls_ca or tls_cert)
             else None
         )
+        # The connection a drained job handed back: (socket, settings,
+        # idle since, owning pid), reused by the next submit.
+        self._idle_lock = threading.Lock()
+        self._idle: tuple[socket.socket, dict, float, int] | None = None
+        self._heartbeats = _Heartbeats()
 
     # ------------------------------------------------------------------
     # Connection handshake
@@ -313,22 +374,37 @@ class ServiceClient:
         refuses the submission under this tenant's admission quota
         (the message carries the daemon's reason).
         """
-        sock, settings = self._connect()
-        try:
-            send_message(
-                sock,
-                (
-                    SUBMIT,
-                    shard_payloads,
-                    {"priority": int(priority), "label": label},
-                ),
-            )
-            reply = recv_message(sock)
-        except (ProtocolError, OSError) as exc:
-            sock.close()
-            raise ServiceError(f"job submission failed: {exc}") from None
+        request = (
+            SUBMIT,
+            shard_payloads,
+            {"priority": int(priority), "label": label},
+        )
+        reused = self._take_idle()
+        if reused is not None:
+            sock, settings = reused
+            try:
+                send_message(sock, request)
+                reply = recv_message(sock)
+            except (ProtocolError, OSError):
+                reply = None
+            if not (
+                isinstance(reply, tuple) and reply and reply[0] in (SUBMITTED, REJECTED)
+            ):
+                # The daemon dropped the idle connection (restart,
+                # shutdown): whatever it received died with the
+                # session, so submitting afresh cannot duplicate a job.
+                sock.close()
+                reused = None
+        if reused is None:
+            sock, settings = self._connect()
+            try:
+                send_message(sock, request)
+                reply = recv_message(sock)
+            except (ProtocolError, OSError) as exc:
+                sock.close()
+                raise ServiceError(f"job submission failed: {exc}") from None
         if isinstance(reply, tuple) and len(reply) == 2 and reply[0] == REJECTED:
-            sock.close()
+            self._put_idle(sock, settings)
             raise ServiceError(f"submission rejected: {reply[1]}")
         if (
             reply is None
@@ -339,7 +415,36 @@ class ServiceClient:
             sock.close()
             raise ServiceError(f"unexpected submission reply {reply!r}")
         interval = float(settings.get("heartbeat_interval") or 5.0)
-        return JobHandle(sock, reply[1], reply[2], interval)
+        return JobHandle(
+            sock,
+            reply[1],
+            reply[2],
+            interval,
+            heartbeats=self._heartbeats,
+            release=lambda drained: self._put_idle(drained, settings),
+        )
+
+    def _take_idle(self) -> tuple[socket.socket, dict] | None:
+        """The idle connection, unless it sat past a heartbeat interval
+        (the daemon drops silent connections after three) or belongs to
+        the parent of a forked process."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, None
+        if idle is None:
+            return None
+        sock, settings, since, pid = idle
+        interval = float(settings.get("heartbeat_interval") or 5.0)
+        if pid == os.getpid() and time.monotonic() - since < interval:
+            return sock, settings
+        sock.close()
+        return None
+
+    def _put_idle(self, sock: socket.socket, settings: dict) -> None:
+        idle = (sock, settings, time.monotonic(), os.getpid())
+        with self._idle_lock:
+            idle, self._idle = self._idle, idle
+        if idle is not None:
+            idle[0].close()
 
     def status(self, job_id: str | None = None) -> list[dict]:
         """Status records of the daemon's jobs (one, or all).
@@ -387,7 +492,17 @@ class ServiceClient:
         return bool(reply[2])
 
     def close(self) -> None:
-        """No-op for symmetry: connections are per-operation."""
+        """Close the idle connection a drained job handed back, if any."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, None
+        if idle is not None:
+            idle[0].close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def __repr__(self) -> str:
         return f"ServiceClient({self.host}:{self.port})"

@@ -543,9 +543,9 @@ class _JobCoordinator(Coordinator):
     # Client sessions
     # ------------------------------------------------------------------
     @staticmethod
-    async def _send(conn: _ClientConn, message: tuple) -> None:
+    async def _send(conn: _ClientConn, *messages: tuple) -> None:
         async with conn.write_lock:
-            await write_message(conn.writer, message)
+            await write_message(conn.writer, *messages)
 
     async def _serve_client(
         self,
@@ -630,22 +630,18 @@ class _JobCoordinator(Coordinator):
             label=str(options.get("label", "") or ""),
             tenant=conn.tenant,
         )
-        # Registered before the SUBMITTED write: if the client is
-        # already gone when the reply fails, the session's cleanup must
-        # find (and cancel) this job rather than orphan it on the
-        # worker pool.  The forwarder starts only *after* SUBMITTED is
-        # on the wire — result-store hits complete instantly, and a
-        # JOB_RESULT frame must not overtake the submission reply.
-        if shard_ids:
-            conn.jobs[job.id] = (job, None)
-        await self._send(conn, (SUBMITTED, job.id, shard_ids))
-        if shard_ids:
-            forwarder = asyncio.create_task(
-                self._forward_job(conn, job, results, set(shard_ids))
+        # The forwarder writes SUBMITTED first, so no JOB_RESULT can
+        # overtake the submission reply, and together with the results
+        # already in the queue: a job the result store answers whole
+        # goes out as one write.  Registered at once: if the client is
+        # gone, the session's cleanup must find (and cancel) this job
+        # rather than orphan it on the worker pool.
+        forwarder = asyncio.create_task(
+            self._forward_job(
+                conn, job, results, set(shard_ids), (SUBMITTED, job.id, shard_ids)
             )
-            conn.jobs[job.id] = (job, forwarder)
-        else:
-            await self._send(conn, (JOB_DONE, job.id))
+        )
+        conn.jobs[job.id] = (job, forwarder)
 
     async def _client_cancel(self, job_id: object) -> bool:
         if not isinstance(job_id, str):
@@ -664,29 +660,43 @@ class _JobCoordinator(Coordinator):
         return True
 
     async def _forward_job(
-        self, conn: _ClientConn, job, results: asyncio.Queue, remaining: set
+        self,
+        conn: _ClientConn,
+        job,
+        results: asyncio.Queue,
+        remaining: set,
+        submitted: tuple,
     ) -> None:
-        """Stream one job's shard queue to its submitting client."""
+        """Stream one job's shard queue to its submitting client, after
+        the *submitted* reply; frames ready at once go out in one write."""
+        frames = [submitted]
+        ready: list[tuple] = []
         try:
-            while remaining:
-                kind, shard_id, payload = await results.get()
-                if kind == RESULT:
-                    remaining.discard(shard_id)
-                    await self._send(
-                        conn, (JOB_RESULT, job.id, shard_id, payload)
-                    )
-                elif kind == FAIL:
-                    await self._send(conn, (JOB_FAIL, job.id, shard_id, payload))
-                    # Withdraw the job's other shards: it already failed.
-                    await self._cancel_submission(job)
+            while True:
+                while not results.empty():
+                    ready.append(results.get_nowait())
+                for kind, shard_id, payload in ready:
+                    if kind == RESULT:
+                        remaining.discard(shard_id)
+                        frames.append((JOB_RESULT, job.id, shard_id, payload))
+                    elif kind == FAIL:
+                        await self._send(
+                            conn, *frames, (JOB_FAIL, job.id, shard_id, payload)
+                        )
+                        # Withdraw the job's other shards: it already failed.
+                        await self._cancel_submission(job)
+                        return
+                    elif kind == CANCEL:
+                        await self._send(conn, *frames, (JOB_CANCELLED, job.id))
+                        return
+                    else:  # SHUTDOWN
+                        await self._send(conn, *frames, (SHUTDOWN,))
+                        return
+                if not remaining:
+                    await self._send(conn, *frames, (JOB_DONE, job.id))
                     return
-                elif kind == CANCEL:
-                    await self._send(conn, (JOB_CANCELLED, job.id))
-                    return
-                else:  # SHUTDOWN
-                    await self._send(conn, (SHUTDOWN,))
-                    return
-            await self._send(conn, (JOB_DONE, job.id))
+                await self._send(conn, *frames)
+                frames, ready = [], [await results.get()]
         except (ConnectionError, OSError):
             conn.writer.close()
         finally:

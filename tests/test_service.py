@@ -45,12 +45,18 @@ from repro.engine.cluster.protocol import (
     AUTH,
     CHALLENGE,
     GET,
+    JOB_DONE,
+    JOB_RESULT,
+    PING,
     SECRET_ENV,
     SHARD,
     SHUTDOWN,
+    SUBMIT,
+    SUBMITTED,
     RESULT,
     WELCOME,
     auth_digest,
+    decode_payload,
     hello,
     recv_message,
     resolve_secret,
@@ -606,6 +612,107 @@ class TestNoNagleStall:
 
 
 # ----------------------------------------------------------------------
+# Job connections: a drained job's connection serves the next submit,
+# and one heartbeat thread serves every live job
+# ----------------------------------------------------------------------
+def _finish_next(worker: _FakeServiceWorker) -> None:
+    message = worker.pull()
+    worker.finish(message[1], message[2])
+
+
+def _heartbeat_threads() -> list[threading.Thread]:
+    return [
+        t for t in threading.enumerate() if t.name == "repro-service-heartbeat"
+    ]
+
+
+class TestJobConnections:
+    def test_drained_job_hands_its_connection_to_the_next(self):
+        with ServiceDaemon("127.0.0.1", 0) as daemon:
+            worker = _FakeServiceWorker(daemon.port)
+            try:
+                with ServiceClient("127.0.0.1", daemon.port) as client:
+                    with client.submit([[("a", 0)]]) as first:
+                        _finish_next(worker)
+                        assert len(list(first.results())) == 1
+                    with client.submit([[("b", 0)]]) as second:
+                        assert second._sock is first._sock
+                        _finish_next(worker)
+                        assert len(list(second.results())) == 1
+                assert first._sock.fileno() == -1  # closed with the client
+                assert [r["state"] for r in daemon.jobs()] == ["done", "done"]
+            finally:
+                worker.close()
+
+    def test_undrained_job_does_not_hand_back_its_connection(self):
+        with ServiceDaemon("127.0.0.1", 0) as daemon:
+            with ServiceClient("127.0.0.1", daemon.port) as client:
+                abandoned = client.submit([[("a", 0)]])
+                abandoned.close()
+                with client.submit([]) as fresh:
+                    assert fresh._sock is not abandoned._sock
+                    assert list(fresh.results()) == []
+
+    def test_connection_idle_past_the_heartbeat_interval_is_replaced(self):
+        # heartbeat_timeout 0.3 s: the WELCOME interval is 0.1 s.
+        with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=0.3) as daemon:
+            with ServiceClient("127.0.0.1", daemon.port) as client:
+                with client.submit([]) as first:
+                    list(first.results())
+                time.sleep(0.2)
+                with client.submit([]) as second:
+                    assert second._sock is not first._sock
+                    assert list(second.results()) == []
+
+    def test_dropped_idle_connection_falls_back_to_a_fresh_one(self):
+        with ServiceDaemon("127.0.0.1", 0) as daemon:
+            with ServiceClient("127.0.0.1", daemon.port) as client:
+                with client.submit([]) as first:
+                    list(first.results())
+                first._sock.shutdown(socket.SHUT_RDWR)  # the session is gone
+                with client.submit([]) as second:
+                    assert second._sock is not first._sock
+                    assert list(second.results()) == []
+            assert len(daemon.jobs()) == 2
+
+    def test_jobs_of_one_client_share_one_heartbeat_thread(self):
+        with ServiceDaemon("127.0.0.1", 0) as daemon:
+            with ServiceClient("127.0.0.1", daemon.port) as client:
+                before = set(_heartbeat_threads())
+                with client.submit([]) as first:
+                    list(first.results())
+                with client.submit([]) as second:
+                    list(second.results())
+                handles = [client.submit([[("x", i)]]) for i in range(5)]
+                try:
+                    assert len(set(_heartbeat_threads()) - before) == 1
+                finally:
+                    for handle in handles:
+                        handle.close()
+
+    def test_slow_consumer_is_kept_alive_by_heartbeats(self):
+        """The daemon drops a client silent for its heartbeat timeout;
+        pings keep a job alive while its consumer dwells on a result."""
+        with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=0.6) as daemon:
+            worker = _FakeServiceWorker(daemon.port)
+            try:
+                with ServiceClient("127.0.0.1", daemon.port) as client:
+                    with client.submit([[("x", 0)], [("x", 1)]]) as handle:
+                        _finish_next(worker)
+                        stream = handle.results()
+                        next(stream)
+                        for _ in range(5):  # two and a half heartbeat timeouts
+                            time.sleep(0.3)
+                            send_message(worker.sock, (PING,))  # the worker's own
+                        _finish_next(worker)
+                        assert len(list(stream)) == 1
+                (record,) = daemon.jobs(handle.job_id)
+                assert record["state"] == "done"
+            finally:
+                worker.close()
+
+
+# ----------------------------------------------------------------------
 # run_stream ordering and early-consumer exit, across backends
 # ----------------------------------------------------------------------
 def _stream_spec() -> SweepSpec:
@@ -1021,6 +1128,38 @@ class TestResultStore:
                 welcome = recv_message(sock)
         assert welcome[0] == WELCOME
         assert welcome[1]["cache_dir"] is None
+
+    def test_store_answered_job_is_one_write(self, tmp_path):
+        """A job the store answers whole reaches the client as one
+        write: SUBMITTED, every JOB_RESULT and JOB_DONE together."""
+        payload = [(i, r) for i, r in enumerate(_requests()[:2])]
+        with ServiceDaemon(
+            "127.0.0.1", 0, disk_cache_dir=tmp_path
+        ) as daemon:
+            worker = _FakeServiceWorker(daemon.port)
+            try:
+                with ServiceClient("127.0.0.1", daemon.port) as client:
+                    with client.submit([payload]) as first:
+                        message = worker.pull()
+                        send_message(
+                            worker.sock,
+                            (RESULT, message[1], _worker_rows(message[2])),
+                        )
+                        list(first.results())
+            finally:
+                worker.close()
+            sock, _ = ServiceClient("127.0.0.1", daemon.port)._connect()
+            try:
+                send_message(sock, (SUBMIT, [payload], {}))
+                data = sock.recv(1 << 20)
+            finally:
+                sock.close()
+        kinds = []
+        while data:
+            size = int.from_bytes(data[:4], "big")
+            kinds.append(decode_payload(data[4 : 4 + size])[0])
+            data = data[4 + size :]
+        assert kinds == [SUBMITTED, JOB_RESULT, JOB_DONE]
 
     def test_torn_store_entry_is_a_counted_miss(self, tmp_path):
         """A truncated ``result-*.pkl`` reads as a miss, counted as
