@@ -281,7 +281,8 @@ def topology_cut_metric(topology: Topology, *, contention: bool = False) -> Metr
     hops four times as expensive).  The resulting columns are
     ``hop_cut`` (total, the natural search objective) and ``hop_max``
     (bottleneck node).  The topology must cover at least the
-    allocation's node count; extra modelled nodes are simply unused.
+    allocation's ``n`` nodes; the cost is one ``n x n`` float64 block over
+    them, built once per process per spec, so extra nodes cost nothing.
     """
     kind, params = _topology_spec_tuple(topology)
     return MetricSpec(
@@ -296,20 +297,21 @@ def topology_cut_metric(topology: Topology, *, contention: bool = False) -> Metr
 
 @lru_cache(maxsize=32)
 def _node_weight_matrix(
-    kind: str, params: tuple, contention: bool
+    kind: str, params: tuple, contention: bool, num_nodes: int
 ) -> np.ndarray:
-    """The dense ``(N, N)`` float64 cost matrix of one topology spec."""
+    """The float64 cost block of one topology spec over nodes ``0..num_nodes-1``."""
     topology = topology_from_spec(kind, params)
-    n = topology.num_nodes
-    fraction = topology.uplink_capacity_fraction()
-    weights = np.empty((n, n), dtype=np.float64)
-    for a in range(n):
-        leaf_a = topology.leaf_of(a)
-        for b in range(n):
-            cost = float(topology.hop_distance(a, b))
-            if contention and leaf_a != topology.leaf_of(b):
-                cost /= fraction
-            weights[a, b] = cost
+    if topology.num_nodes < num_nodes:
+        raise MappingError(
+            f"topology {kind!r} models {topology.num_nodes} node(s) but the "
+            f"allocation uses {num_nodes}; size the topology to cover the "
+            "allocation"
+        )
+    idx = np.arange(num_nodes)
+    weights = topology.hop_distance(idx[:, None], idx[None, :]).astype(np.float64)
+    if contention:
+        leaf = topology.leaf_of(idx)
+        weights[leaf[:, None] != leaf[None, :]] /= topology.uplink_capacity_fraction()
     weights.setflags(write=False)
     return weights
 
@@ -324,18 +326,11 @@ def _topology_hop_cut(
             "topology_hop_cut needs 'topology'/'params' parameters; build "
             "the spec with repro.engine.metrics.topology_cut_metric(...)"
         )
-    weights = _node_weight_matrix(str(kind), tuple(params), bool(spec.param("contention", False)))
+    contention = bool(spec.param("contention", False))
     num_nodes = ctx.alloc.num_nodes
-    if weights.shape[0] < num_nodes:
-        raise MappingError(
-            f"topology {kind!r} models {weights.shape[0]} node(s) but the "
-            f"allocation uses {num_nodes}; size the topology to cover the "
-            "allocation"
-        )
+    weights = _node_weight_matrix(str(kind), tuple(params), contention, num_nodes)
     nodes = node_of_vertex_batch(perms, ctx.alloc)
-    per_node = hop_weighted_cut_batch(
-        ctx.edges, nodes, weights[:num_nodes, :num_nodes]
-    )
+    per_node = hop_weighted_cut_batch(ctx.edges, nodes, weights)
     return [
         {"hop_cut": float(row.sum()), "hop_max": float(row.max())}
         for row in per_node

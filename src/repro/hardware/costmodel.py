@@ -294,11 +294,7 @@ class CommunicationModel:
         """Shared up-link term for traffic crossing leaf groups."""
         topo = self.topology
         assert topo is not None
-        leaf = np.fromiter(
-            (topo.leaf_of(i) for i in range(num_nodes)),
-            dtype=np.int64,
-            count=num_nodes,
-        )
+        leaf = topo.leaf_of(np.arange(num_nodes))
         src_leaf = leaf[src_nodes[cut]]
         dst_leaf = leaf[dst_nodes[cut]]
         far = src_leaf != dst_leaf

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+import numpy as np
+
 from .._validation import as_int
 from ..exceptions import ReproError
 
@@ -29,6 +31,11 @@ __all__ = [
     "DragonflyTopology",
     "topology_from_spec",
 ]
+
+
+def _plain(result):
+    """A scalar-shaped *result* as a plain ``int``; arrays pass through."""
+    return int(result) if np.ndim(result) == 0 else result
 
 
 class Topology(ABC):
@@ -46,12 +53,13 @@ class Topology(ABC):
         return self._num_nodes
 
     @abstractmethod
-    def hop_distance(self, a: int, b: int) -> int:
-        """Switch hops between nodes *a* and *b* (0 when ``a == b``)."""
+    def hop_distance(self, a, b):
+        """Switch hops between nodes *a* and *b* (0 when ``a == b``); integer
+        node arrays broadcast, so ``hop_distance(i[:, None], i)`` is a matrix."""
 
     @abstractmethod
-    def leaf_of(self, node: int) -> int:
-        """Index of the shared leaf group (switch/island) of *node*."""
+    def leaf_of(self, node):
+        """Index of the shared leaf group (switch/island) of *node* or nodes."""
 
     @abstractmethod
     def uplink_capacity_fraction(self) -> float:
@@ -62,9 +70,12 @@ class Topology(ABC):
         that fraction of the group's injection bandwidth.
         """
 
-    def _check_node(self, node: int) -> int:
-        node = as_int(node, name="node")
-        if not 0 <= node < self._num_nodes:
+    def _check_node(self, node):
+        if isinstance(node, np.ndarray) and node.dtype.kind in "iu":
+            node = node.astype(np.int64, copy=False)
+        else:
+            node = as_int(node, name="node")
+        if np.any((node < 0) | (node >= self._num_nodes)):
             raise ReproError(f"node must be in [0, {self._num_nodes}), got {node}")
         return node
 
@@ -87,13 +98,12 @@ class Topology(ABC):
 class SingleSwitchTopology(Topology):
     """All nodes on one non-blocking switch (small allocations)."""
 
-    def hop_distance(self, a: int, b: int) -> int:
+    def hop_distance(self, a, b):
         a, b = self._check_node(a), self._check_node(b)
-        return 0 if a == b else 1
+        return _plain(np.where(a == b, 0, 1))
 
-    def leaf_of(self, node: int) -> int:
-        self._check_node(node)
-        return 0
+    def leaf_of(self, node):
+        return self._check_node(node) * 0  # 0, or zeros shaped like node
 
     def uplink_capacity_fraction(self) -> float:
         return 1.0
@@ -140,13 +150,12 @@ class FatTreeTopology(Topology):
         """The ``b`` of the ``b:1`` blocking ratio."""
         return self._blocking
 
-    def hop_distance(self, a: int, b: int) -> int:
+    def hop_distance(self, a, b):
         a, b = self._check_node(a), self._check_node(b)
-        if a == b:
-            return 0
-        return 1 if self.leaf_of(a) == self.leaf_of(b) else 3
+        far = np.where(self.leaf_of(a) == self.leaf_of(b), 1, 3)
+        return _plain(np.where(a == b, 0, far))
 
-    def leaf_of(self, node: int) -> int:
+    def leaf_of(self, node):
         return self._check_node(node) // self._nodes_per_switch
 
     def uplink_capacity_fraction(self) -> float:
@@ -198,13 +207,12 @@ class IslandTopology(Topology):
         """The ``b`` of the ``1:b`` pruning ratio."""
         return self._pruning
 
-    def hop_distance(self, a: int, b: int) -> int:
+    def hop_distance(self, a, b):
         a, b = self._check_node(a), self._check_node(b)
-        if a == b:
-            return 0
-        return 3 if self.leaf_of(a) == self.leaf_of(b) else 5
+        far = np.where(self.leaf_of(a) == self.leaf_of(b), 3, 5)
+        return _plain(np.where(a == b, 0, far))
 
-    def leaf_of(self, node: int) -> int:
+    def leaf_of(self, node):
         return self._check_node(node) // self._nodes_per_island
 
     def uplink_capacity_fraction(self) -> float:
@@ -259,23 +267,23 @@ class Torus3DTopology(Topology):
         """``True`` for a torus, ``False`` for an open mesh."""
         return self._periodic
 
-    def coordinates(self, node: int) -> tuple[int, int, int]:
+    def coordinates(self, node):
         """The ``(x, y, z)`` coordinates of *node* (row-major order)."""
         node = self._check_node(node)
         _, ny, nz = self._dims
         return (node // (ny * nz), (node // nz) % ny, node % nz)
 
-    def hop_distance(self, a: int, b: int) -> int:
+    def hop_distance(self, a, b):
         ca, cb = self.coordinates(a), self.coordinates(b)
         total = 0
         for pa, pb, extent in zip(ca, cb, self._dims):
             delta = abs(pa - pb)
             if self._periodic:
-                delta = min(delta, extent - delta)
+                delta = np.minimum(delta, extent - delta)
             total += delta
-        return total
+        return _plain(total)
 
-    def leaf_of(self, node: int) -> int:
+    def leaf_of(self, node):
         # Every node owns its router: no shared leaf group.
         return self._check_node(node)
 
@@ -355,23 +363,21 @@ class DragonflyTopology(Topology):
         """The ``b`` of the ``b:1`` global-link tapering."""
         return self._global_ratio
 
-    def router_of(self, node: int) -> int:
+    def router_of(self, node):
         """Global router index of *node*."""
         return self._check_node(node) // self._nodes_per_router
 
-    def group_of(self, node: int) -> int:
+    def group_of(self, node):
         """Group index of *node*."""
         return self.router_of(node) // self._routers_per_group
 
-    def hop_distance(self, a: int, b: int) -> int:
+    def hop_distance(self, a, b):
         a, b = self._check_node(a), self._check_node(b)
-        if a == b:
-            return 0
-        if self.router_of(a) == self.router_of(b):
-            return 1
-        return 2 if self.group_of(a) == self.group_of(b) else 3
+        hops = np.where(self.group_of(a) == self.group_of(b), 2, 3)
+        hops = np.where(self.router_of(a) == self.router_of(b), 1, hops)
+        return _plain(np.where(a == b, 0, hops))
 
-    def leaf_of(self, node: int) -> int:
+    def leaf_of(self, node):
         return self.router_of(node)
 
     def uplink_capacity_fraction(self) -> float:

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import sys
 import threading
 
 from ..engine.cluster.coordinator import Coordinator
@@ -886,6 +887,7 @@ class ServiceDaemon:
                 "ttl": store_ttl,
                 "interval": self._store_prune_interval,
                 "runs": 0,
+                "errors": 0,
                 "removed_total": 0,
                 "last_removed": None,
             }
@@ -906,9 +908,9 @@ class ServiceDaemon:
         """Apply the store prune policy periodically (daemon loop task).
 
         The scan/unlink work runs on a thread so a large cache
-        directory never stalls the event loop; errors are swallowed —
-        a failed prune must not take the daemon down, and the next
-        round retries.
+        directory never stalls the event loop.  A failed prune is
+        counted (``errors``) and reported on stderr, never fatal: the
+        next round retries.
         """
         stats = self._coordinator.prune_stats
         while True:
@@ -920,9 +922,9 @@ class ServiceDaemon:
                     self._store_max_bytes,
                     ttl=self._store_ttl,
                 )
-            except asyncio.CancelledError:
-                raise
-            except Exception:  # pragma: no cover - unreadable cache dir
+            except Exception as exc:
+                stats["errors"] += 1
+                print(f"service daemon: store prune failed: {exc!r}", file=sys.stderr)
                 continue
             stats["runs"] += 1
             stats["removed_total"] += sum(removed.values())

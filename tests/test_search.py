@@ -354,7 +354,39 @@ class TestMetrics:
             assert store["prune"]["ttl"] == 3600.0
             assert store["prune"]["runs"] > 0
             assert store["prune"]["removed_total"] == 0  # nothing to evict
+            assert store["prune"]["errors"] == 0
             assert store["hits"] == 0 and store["misses"] == 0
+
+    def test_failed_prune_is_counted_and_retried(self, tmp_path, monkeypatch, capfd):
+        from repro.service import daemon as daemon_module
+
+        real_prune = daemon_module.prune
+        failures = []
+
+        def flaky_prune(*args, **kwargs):
+            if not failures:
+                failures.append(1)
+                raise OSError("cache directory unreadable")
+            return real_prune(*args, **kwargs)
+
+        monkeypatch.setattr(daemon_module, "prune", flaky_prune)
+        with ServiceDaemon(
+            "127.0.0.1",
+            0,
+            heartbeat_timeout=30.0,
+            disk_cache_dir=tmp_path,
+            store_ttl=3600.0,
+            store_prune_interval=0.05,
+        ) as daemon:
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                prune_stats = daemon.metrics()["store"]["prune"]
+                if prune_stats["runs"] > 0:
+                    break
+                time.sleep(0.05)
+        assert prune_stats["errors"] == 1
+        assert prune_stats["runs"] > 0  # the next round still ran
+        assert "store prune failed" in capfd.readouterr().err
 
     def test_store_policy_requires_a_cache_dir(self):
         with pytest.raises(ValueError, match="cache"):

@@ -527,6 +527,34 @@ class TestWorkloadAxis:
             bottleneck,
         )
 
+    def test_large_topology_scores_only_the_allocation_block(self):
+        """A 32x32x32 torus (32768 modelled nodes) on a 27-node
+        allocation: only the 27 x 27 block is built, and every row
+        matches a per-edge scalar reference."""
+        topo = repro.Torus3DTopology((32, 32, 32))
+        instance = InstanceSpec.from_nodes(27, 4)
+        results = run(
+            SweepSpec(
+                instances=[instance],
+                stencils=["nearest_neighbor"],
+                mappers=["blocked", "hyperplane", "random"],
+                metrics=[repro.topology_cut_metric(topo, contention=True)],
+            )
+        )
+        alloc = instance.alloc
+        edges = repro.communication_edges(instance.grid, repro.nearest_neighbor(2))
+        assert len(results.ok()) == 3
+        for row in results.ok():
+            vertex_node = np.empty(alloc.total_processes, dtype=np.int64)
+            vertex_node[row.result.perm] = alloc.node_of_ranks()
+            per_node = np.zeros(alloc.num_nodes)
+            for src, dst in edges:
+                a, b = int(vertex_node[src]), int(vertex_node[dst])
+                if a != b:
+                    per_node[a] += float(topo.hop_distance(a, b))
+            assert row.metrics["hop_cut"] == float(per_node.sum())
+            assert row.metrics["hop_max"] == float(per_node.max())
+
 
 class TestResultSet:
     def test_filter_group_pivot_column(self):

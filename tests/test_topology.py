@@ -1,6 +1,9 @@
 """Tests for the interconnect topology models."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     DragonflyTopology,
@@ -10,7 +13,37 @@ from repro import (
     Torus3DTopology,
     topology_from_spec,
 )
+from repro.engine.metrics import _node_weight_matrix
 from repro.exceptions import ReproError
+from repro.hardware.topology import Topology
+
+#: Every topology kind in its wire form; the last three add non-cubic
+#: tori (open and periodic) and a larger dragonfly with 4:1 global links.
+SPECS = [
+    ("single_switch", (6,)),
+    ("fat_tree", (8, 4, 2.0)),
+    ("island", (10, 5, 4.0)),
+    ("torus3d", ((2, 3, 2), True)),
+    ("torus3d", ((2, 2, 2), False)),
+    ("dragonfly", (2, 2, 2, 2.0)),
+    ("torus3d", ((3, 4, 5), False)),
+    ("torus3d", ((4, 2, 3), True)),
+    ("dragonfly", (3, 2, 3, 4.0)),
+]
+
+
+def reference_weight_matrix(topology, contention, num_nodes):
+    """The per-pair scalar loop the array build replaces."""
+    fraction = topology.uplink_capacity_fraction()
+    weights = np.empty((num_nodes, num_nodes), dtype=np.float64)
+    for a in range(num_nodes):
+        leaf_a = topology.leaf_of(a)
+        for b in range(num_nodes):
+            cost = float(topology.hop_distance(a, b))
+            if contention and leaf_a != topology.leaf_of(b):
+                cost /= fraction
+            weights[a, b] = cost
+    return weights
 
 
 class TestSingleSwitch:
@@ -157,17 +190,7 @@ class TestDragonfly:
 class TestTopologyFromSpec:
     """The wire format topology_cut_metric uses must round-trip."""
 
-    @pytest.mark.parametrize(
-        "kind,params",
-        [
-            ("single_switch", (6,)),
-            ("fat_tree", (8, 4, 2.0)),
-            ("island", (10, 5, 4.0)),
-            ("torus3d", ((2, 3, 2), True)),
-            ("torus3d", ((2, 2, 2), False)),
-            ("dragonfly", (2, 2, 2, 2.0)),
-        ],
-    )
+    @pytest.mark.parametrize("kind,params", SPECS)
     def test_round_trip_distances(self, kind, params):
         t = topology_from_spec(kind, params)
         again = topology_from_spec(kind, params)
@@ -185,3 +208,77 @@ class TestTopologyFromSpec:
     def test_torus_needs_dims(self):
         with pytest.raises(ReproError, match="torus3d spec"):
             topology_from_spec("torus3d", ())
+
+    @pytest.mark.parametrize("contention", [False, True])
+    @pytest.mark.parametrize("kind,params", SPECS)
+    def test_weight_matrix_matches_scalar_loop(self, kind, params, contention):
+        t = topology_from_spec(kind, params)
+        n = t.num_nodes
+        built = _node_weight_matrix.__wrapped__(kind, params, contention, n)
+        expected = reference_weight_matrix(t, contention, n)
+        assert built.dtype == np.float64 and built.shape == (n, n)
+        assert built.tobytes() == expected.tobytes()
+        # a smaller allocation gets exactly the leading block
+        block = _node_weight_matrix.__wrapped__(kind, params, contention, n - 1)
+        assert block.tobytes() == expected[: n - 1, : n - 1].copy().tobytes()
+
+    @pytest.mark.parametrize("kind,params", SPECS)
+    def test_scalar_calls_return_int(self, kind, params):
+        t = topology_from_spec(kind, params)
+        last = t.num_nodes - 1
+        for a, b in ((0, 0), (0, last), (np.int64(last), np.int32(0))):
+            assert type(t.hop_distance(a, b)) is int
+            assert type(t.leaf_of(a)) is int
+
+    @pytest.mark.parametrize("kind,params", SPECS)
+    def test_out_of_range_array_raises(self, kind, params):
+        t = topology_from_spec(kind, params)
+        n = t.num_nodes
+        for bad in (np.array([0, n]), np.array([[-1], [0]])):
+            with pytest.raises(ReproError, match="node must be in"):
+                t.hop_distance(bad, np.arange(n))
+            with pytest.raises(ReproError, match="node must be in"):
+                t.hop_distance(np.arange(n), bad)
+            with pytest.raises(ReproError, match="node must be in"):
+                t.leaf_of(bad)
+        with pytest.raises(TypeError):
+            t.leaf_of(np.array([0.0, 1.0]))
+
+    def test_matrix_build_checks_nodes_once_per_call(self, monkeypatch):
+        """A deterministic stand-in for a timing gate: the number of
+        bounds checks is fixed, not one per node pair."""
+        calls = []
+        check = Topology._check_node
+
+        def counting(self, node):
+            calls.append(node)
+            return check(self, node)
+
+        monkeypatch.setattr(Topology, "_check_node", counting)
+        counts = []
+        for dims in ((2, 2, 2), (10, 10, 10)):
+            calls.clear()
+            n = dims[0] * dims[1] * dims[2]
+            _node_weight_matrix.__wrapped__("torus3d", (dims, True), True, n)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 4
+
+
+@st.composite
+def topology_and_nodes(draw):
+    kind, params = draw(st.sampled_from(SPECS))
+    t = topology_from_spec(kind, params)
+    node_arrays = st.lists(
+        st.integers(0, t.num_nodes - 1), min_size=1, max_size=12
+    ).map(np.array)
+    return t, draw(node_arrays), draw(node_arrays)
+
+
+@given(topology_and_nodes())
+@settings(max_examples=60, deadline=None)
+def test_array_calls_match_scalar_calls(case):
+    t, a, b = case
+    hops = t.hop_distance(a[:, None], b[None, :])
+    assert hops.shape == (len(a), len(b))
+    assert hops.tolist() == [[t.hop_distance(int(x), int(y)) for y in b] for x in a]
+    assert t.leaf_of(a).tolist() == [t.leaf_of(int(x)) for x in a]
